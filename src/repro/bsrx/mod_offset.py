@@ -111,7 +111,9 @@ def find_modulation_offset_batch(
     fft_size = observed_useful.shape[1]
 
     signs = (2 * preamble - 1).astype(float)
-    z = observed_useful * np.conj(expected_useful)
+    # np.multiply keeps the operand order on large stacks; see
+    # repro.bsrx.equalizer.
+    z = np.multiply(observed_useful, np.conj(expected_useful))
     weights = np.abs(expected_useful) ** 2
 
     lo = max(0, int(nominal_offset) - int(search_slack))

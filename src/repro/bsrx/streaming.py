@@ -26,10 +26,14 @@ trailing partial half-frame at end-of-capture goes through the
 demodulator core's truncated-tail handling and comes out as erasure
 windows, never a crash or a silent drop.
 
-Every emitted window is bit-identical to the whole-capture call on the
-same samples: the core operates on chunk-local views whose contents equal
-the corresponding capture slices, and all indices are shifted back to
-absolute capture coordinates.
+Every half-frame goes through the public per-half-frame core,
+:meth:`BackscatterDemodulator.demodulate_half_frame`, as a one-row stack
+of the chunk-local buffer — the same core the whole-capture call runs.
+Every emitted window is therefore bit-identical to the whole-capture call
+on the same samples: the chunk-local views hold the same samples as the
+capture slices, a half-frame only runs past the end of a chunk where it
+runs past the end of the capture, and all indices are shifted back to
+absolute capture coordinates through the sink's ``base``.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.bsrx.demodulator import BackscatterDemodulator, _DemodSink
+from repro.bsrx.demodulator import BackscatterDemodulator, DemodSink
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 
@@ -97,7 +101,7 @@ class StreamingDemodulator:
         self.carry = StreamCarry(
             next_half_frame_start=int(first_half_frame_start)
         )
-        self._sink = _DemodSink()
+        self._sink = DemodSink()
         self._buffer_shifted = np.zeros(0, dtype=complex)
         self._buffer_reference = np.zeros(0, dtype=complex)
         #: Absolute capture index of ``_buffer_shifted[0]``.  The
@@ -143,14 +147,7 @@ class StreamingDemodulator:
             if local < 0 or local + span_needed > limit:
                 break
             self._sink.base = self._buffer_base
-            cascade = demod._demod_half_frame(
-                self._buffer_shifted,
-                self._buffer_reference,
-                local,
-                limit,
-                self._sink,
-            )
-            self._update_carry(cascade)
+            self._demodulate(self._buffer_shifted, self._buffer_reference, local)
             self.carry.next_half_frame_start += stride
             self.carry.half_frames_done += 1
         # Trim everything before the next boundary: it can never be
@@ -162,9 +159,13 @@ class StreamingDemodulator:
             self._buffer_reference = self._buffer_reference[drop:]
             self._buffer_base += drop
 
-    def _update_carry(self, cascade):
+    def _demodulate(self, shifted, reference, half_start):
+        """One half-frame of a chunk-local view, through the shared core."""
+        cascade = self.demodulator.demodulate_half_frame(
+            shifted[None], reference[None], half_start, [self._sink]
+        )
         if cascade is not None:
-            self.carry.last_cascade = cascade
+            self.carry.last_cascade = cascade[0]
         for packet in reversed(self._sink.packets):
             if packet.model in ("post-eq", "predistort"):
                 self.carry.last_gain = packet.gain
@@ -185,14 +186,7 @@ class StreamingDemodulator:
         local = self.carry.next_half_frame_start - self._buffer_base
         if 0 <= local < limit:
             self._sink.base = self._buffer_base
-            cascade = self.demodulator._demod_half_frame(
-                self._buffer_shifted,
-                self._buffer_reference,
-                local,
-                limit,
-                self._sink,
-            )
-            self._update_carry(cascade)
+            self._demodulate(self._buffer_shifted, self._buffer_reference, local)
         self._buffer_shifted = np.zeros(0, dtype=complex)
         self._buffer_reference = np.zeros(0, dtype=complex)
         obs_metrics.counter_inc(
@@ -218,7 +212,7 @@ class StreamingDemodulator:
         starts = [int(s) for s in half_frame_starts]
         demod = self.demodulator
         span_needed = demod.half_frame_span
-        sink = _DemodSink()
+        sink = self._sink = DemodSink()
         chunk = self.chunk_half_frames
         with span("bsrx.stream") as sp:
             for i in range(0, len(starts), chunk):
@@ -237,15 +231,10 @@ class StreamingDemodulator:
                     ambient_reference[base:end], dtype=complex
                 )
                 sink.base = base
-                limit = end - base
                 for s in group:
                     if s < 0:
                         continue
-                    cascade = demod._demod_half_frame(
-                        shifted_chunk, reference_chunk, s - base, limit, sink
-                    )
-                    self._sink = sink
-                    self._update_carry(cascade)
+                    self._demodulate(shifted_chunk, reference_chunk, s - base)
                     self.carry.next_half_frame_start = s + self.half_frame_samples
                     if s + span_needed <= n:
                         self.carry.half_frames_done += 1

@@ -21,31 +21,22 @@ x 3 intensities = 6 points.
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro import gates
 from repro.experiments.registry import ExperimentResult
+
+# MonotoneGateError is re-exported: callers catch a failed gate from here.
+from repro.gates import MonotoneGateError, NoopGateError
 from repro.stress.scenarios import SCENARIOS, make_scenario_plan
-from repro.stress.suite import _config, _run_point
+from repro.stress.suite import STRESS_SNR_GATE_DB
 
 #: Attack intensities swept per scenario.
 INTENSITY_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 INTENSITY_GRID_SMOKE = (0.0, 0.5, 1.0)
 #: Scenarios the smoke grid keeps (one jammer, one congestion shape).
 SMOKE_SCENARIOS = ("sweep-jammer", "bursty-pdsch")
-#: Relative slack for the monotone gates (floats, not physics, get the
-#: benefit of the doubt) — matches the netgrid interference gate.
-GATE_RELATIVE_SLACK = 1e-6
 
 PAYLOAD_LENGTH = 20000
 PAYLOAD_LENGTH_SMOKE = 6000
-
-
-class MonotoneGateError(AssertionError):
-    """A stress scenario violated monotone degradation."""
-
-
-class NoopGateError(AssertionError):
-    """A zero-intensity scenario was not a bit-identical no-op."""
 
 
 def campaign_points(seed=0, smoke=False):
@@ -59,41 +50,18 @@ def campaign_points(seed=0, smoke=False):
     ]
 
 
-def _noop_identical(scenario, smoke, seed, payload_length):
-    """Zero-intensity plan vs no plan: compare IQ and metrics in-point."""
-    clean = _run_point(
-        _config(smoke, plan=None, erasures=False),
-        seed, payload_length, artifacts=True,
-    )
-    plan = make_scenario_plan(scenario, 0.0, _config(smoke).params, seed=seed)
-    zeroed = _run_point(
-        _config(smoke, plan=plan, erasures=False),
-        seed, payload_length, artifacts=True,
-    )
-    a = clean.extras["artifacts"]
-    b = zeroed.extras["artifacts"]
-    return bool(
-        np.array_equal(a.shifted_rx, b.shifted_rx)
-        and np.array_equal(a.direct_rx, b.direct_rx)
-        and clean.n_bits == zeroed.n_bits
-        and clean.n_errors == zeroed.n_errors
-    )
-
-
 def run_point(params, seed):
     """One grid cell; pure per ``(params, seed)`` so shards reproduce."""
     scenario = params["scenario"]
     intensity = float(params["intensity"])
     smoke = bool(params.get("smoke", False))
     payload_length = PAYLOAD_LENGTH_SMOKE if smoke else PAYLOAD_LENGTH
-    plan = (
-        make_scenario_plan(
-            scenario, intensity, _config(smoke).params, seed=seed
-        )
-        if intensity > 0
-        else None
+    lte = gates.sweep_config(smoke).params
+    plan = make_scenario_plan(scenario, intensity, lte, seed=seed)
+    config = gates.sweep_config(
+        smoke, plan=plan if intensity > 0 else None, snr_gate_db=STRESS_SNR_GATE_DB
     )
-    report = _run_point(_config(smoke, plan=plan), seed, payload_length)
+    report = gates.run_point(config, seed, payload_length)
     row = {
         "scenario": scenario,
         "intensity": intensity,
@@ -103,9 +71,11 @@ def run_point(params, seed):
         "sync_failed": bool(report.sync_failed),
     }
     if intensity == 0.0:
-        row["noop_identical"] = _noop_identical(
-            scenario, smoke, seed, payload_length
-        )
+        # The zero-intensity point checks the no-op contract in-point,
+        # which keeps each point a pure function of ``(params, seed)``.
+        row["noop_identical"] = gates.noop_contract(
+            plan, smoke, seed, payload_length
+        )["passed"]
     return row
 
 
@@ -119,25 +89,7 @@ def _gate_scenario(scenario, rows):
                 "bit-identical to the unstressed run; the zero-intensity "
                 "no-op contract is broken"
             )
-    for prev, nxt in zip(ordered, ordered[1:]):
-        slack = GATE_RELATIVE_SLACK * max(abs(prev["goodput_kbps"]), 1.0)
-        if nxt["goodput_kbps"] > prev["goodput_kbps"] + slack:
-            raise MonotoneGateError(
-                f"stress gate: {scenario!r} goodput rose from "
-                f"{prev['goodput_kbps']:.6f} kbps at intensity "
-                f"{prev['intensity']:.2f} to {nxt['goodput_kbps']:.6f} kbps "
-                f"at {nxt['intensity']:.2f}; turning the attack up must "
-                "not improve the link"
-            )
-        ber_slack = GATE_RELATIVE_SLACK * max(abs(prev["ber"]), 1.0)
-        if nxt["ber"] < prev["ber"] - ber_slack:
-            raise MonotoneGateError(
-                f"stress gate: {scenario!r} BER fell from "
-                f"{prev['ber']:.3e} at intensity {prev['intensity']:.2f} to "
-                f"{nxt['ber']:.3e} at {nxt['intensity']:.2f}; turning the "
-                "attack up must not clean up the link"
-            )
-    return ordered
+    return gates.require_monotone(ordered, "intensity", f"stress gate: {scenario!r}")
 
 
 def aggregate(rows, seed=0):

@@ -31,6 +31,9 @@ from repro.core.system import LScatterSystem
 from repro.experiments.registry import ExperimentResult
 from repro.faults.plan import CarrierFaults, FaultPlan
 
+# MonotoneGateError is re-exported: callers catch a failed gate from here.
+from repro.gates import MonotoneGateError, require_monotone
+
 #: Substrates swept, in comparison-table order.
 SUBSTRATES = ("chip", "crs-ook", "crs-fsk", "coded-pilot", "srs-uplink")
 
@@ -54,15 +57,6 @@ FAULT_SEED = 5
 
 PAYLOAD_LENGTH = 4000
 N_FRAMES = 2
-
-#: Slack for the monotone-degradation gates (floats, not physics, get
-#: the benefit of the doubt).
-GATE_RELATIVE_SLACK = 1e-6
-
-
-class MonotoneGateError(AssertionError):
-    """A substrate's degradation curve violated monotonicity."""
-
 
 def campaign_points(seed=0, smoke=False, substrate=None):
     """One point per (substrate, arm, value) — the campaign shard grid."""
@@ -148,31 +142,6 @@ def _arm_order(row):
     return -row["occupancy"]
 
 
-def _gate_monotone(mode, arm, rows):
-    """Goodput must not rise, BER must not fall, along one arm."""
-    ordered = sorted(rows, key=_arm_order)
-    axis = "distance_ft" if arm == "distance" else "occupancy"
-    for prev, nxt in zip(ordered, ordered[1:]):
-        slack = GATE_RELATIVE_SLACK * max(abs(prev["goodput_kbps"]), 1.0)
-        if nxt["goodput_kbps"] > prev["goodput_kbps"] + slack:
-            raise MonotoneGateError(
-                f"substrate gate [{mode}/{arm}]: goodput rose from "
-                f"{prev['goodput_kbps']:.6f} kbps at {axis}="
-                f"{prev[axis]} to {nxt['goodput_kbps']:.6f} kbps at "
-                f"{axis}={nxt[axis]}; a worse channel must not improve "
-                "the link"
-            )
-        ber_slack = GATE_RELATIVE_SLACK * max(abs(prev["ber"]), 1.0)
-        if nxt["ber"] < prev["ber"] - ber_slack:
-            raise MonotoneGateError(
-                f"substrate gate [{mode}/{arm}]: BER fell from "
-                f"{prev['ber']:.3e} at {axis}={prev[axis]} to "
-                f"{nxt['ber']:.3e} at {axis}={nxt[axis]}; a worse channel "
-                "must not clean up the link"
-            )
-    return ordered
-
-
 def aggregate(rows, seed=0):
     """Merge the grid rows; gates every (substrate, arm) curve."""
     rows = list(rows)
@@ -185,7 +154,11 @@ def aggregate(rows, seed=0):
                 if row["substrate"] == mode and row["arm"] == arm
             ]
             if arm_rows:
-                ordered += _gate_monotone(mode, arm, arm_rows)
+                ordered += require_monotone(
+                    sorted(arm_rows, key=_arm_order),
+                    "distance_ft" if arm == "distance" else "occupancy",
+                    f"substrate gate [{mode}/{arm}]",
+                )
     return ExperimentResult(
         name="subgrid",
         description=(

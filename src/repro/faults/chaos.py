@@ -24,19 +24,17 @@ link-layer ARQ path, not the bit counts).
 
 from __future__ import annotations
 
-import json
-import math
-import os
-
-import numpy as np
-
-from repro.core.config import SystemConfig
-from repro.core.system import LScatterSystem
 from repro.faults.infra import bitflip_file
 from repro.faults.plan import CarrierFaults, FaultPlan, InfraFaults, TagFaults
 from repro.fleet.ambient import AmbientCache
 from repro.fleet.deployment import Deployment
 from repro.fleet.runner import FleetRunner
+from repro.gates import (
+    SWEEP_ERASURE_THRESHOLD,
+    noop_contract,
+    sweep,
+    write_report,
+)
 
 #: Fault kinds the sweep knows how to scale.  ``drift`` maps severity to
 #: tag clock drift in ppm (severity 1.0 = 2000 ppm, far past the guard).
@@ -51,20 +49,6 @@ CHAOS_KINDS = ("dropout", "jammer", "impulse", "clipping", "drift")
 MONOTONE_KINDS = frozenset({"dropout", "jammer", "impulse", "clipping"})
 
 DRIFT_PPM_AT_FULL_SEVERITY = 2000.0
-
-#: Preamble mis-slice fraction above which a packet's windows are erased.
-CHAOS_ERASURE_THRESHOLD = 0.35
-
-
-def _config(smoke, plan=None, erasures=True):
-    return SystemConfig(
-        bandwidth_mhz=1.4,
-        n_frames=2 if smoke else 4,
-        reference_mode="genie",
-        sync_mode="model",
-        faults=plan,
-        erasure_threshold=CHAOS_ERASURE_THRESHOLD if erasures else None,
-    )
 
 
 def _plan_for(kind, severity, seed):
@@ -86,77 +70,16 @@ def _plan_for(kind, severity, seed):
     return FaultPlan(carrier=carrier, seed=seed)
 
 
-def _json_float(value):
-    value = float(value)
-    return None if math.isnan(value) else value
-
-
-def _run_point(config, seed, payload_length, artifacts=False):
-    system = LScatterSystem(config, rng=seed)
-    return system.run(payload_length=payload_length, artifacts=artifacts)
-
-
-def _point_record(severity, report):
-    return {
-        "severity": float(severity),
-        "n_bits": int(report.n_bits),
-        "n_errors": int(report.n_errors),
-        "ber": _json_float(report.ber),
-        "goodput_bps": _json_float(report.throughput_bps),
-        "n_windows": int(report.n_windows),
-        "n_lost_windows": int(report.n_lost_windows),
-        "n_erased_windows": int(report.n_erased_windows),
-        "sync_failed": bool(report.sync_failed),
-    }
-
-
-def _noop_contract(smoke, seed, payload_length):
-    """Clean run vs explicit zero plan: metrics and IQ must match exactly."""
-    clean = _run_point(
-        _config(smoke, plan=None, erasures=False), seed, payload_length,
-        artifacts=True,
-    )
-    zeroed = _run_point(
-        _config(smoke, plan=FaultPlan.none(seed=seed), erasures=False),
-        seed, payload_length, artifacts=True,
-    )
-    a = clean.extras["artifacts"]
-    b = zeroed.extras["artifacts"]
-    iq_identical = bool(
-        np.array_equal(a.shifted_rx, b.shifted_rx)
-        and np.array_equal(a.direct_rx, b.direct_rx)
-    )
-    metrics_identical = (
-        clean.n_bits == zeroed.n_bits
-        and clean.n_errors == zeroed.n_errors
-        and clean.n_windows == zeroed.n_windows
-        and clean.n_lost_windows == zeroed.n_lost_windows
-    )
-    return {
-        "iq_identical": iq_identical,
-        "metrics_identical": bool(metrics_identical),
-        "passed": bool(iq_identical and metrics_identical),
-        "n_bits": int(clean.n_bits),
-        "n_errors": int(clean.n_errors),
-    }
-
-
 def _sweep(kind, severities, smoke, seed, payload_length):
-    points = []
-    for severity in severities:
-        plan = _plan_for(kind, severity, seed) if severity > 0 else None
-        report = _run_point(_config(smoke, plan=plan), seed, payload_length)
-        points.append(_point_record(severity, report))
-    goodputs = [p["goodput_bps"] or 0.0 for p in points]
-    monotone = all(
-        later <= earlier + 1e-9 for earlier, later in zip(goodputs, goodputs[1:])
+    curve = sweep(
+        "severity",
+        severities,
+        lambda severity: _plan_for(kind, severity, seed),
+        smoke,
+        seed,
+        payload_length,
     )
-    return {
-        "kind": kind,
-        "points": points,
-        "monotone_goodput": bool(monotone),
-        "monotone_required": kind in MONOTONE_KINDS,
-    }
+    return {"kind": kind, **curve, "monotone_required": kind in MONOTONE_KINDS}
 
 
 def _tag_key(result):
@@ -264,10 +187,12 @@ def run_chaos(
             "seed": int(seed),
             "max_severity": float(max_severity),
             "kinds": kinds,
-            "erasure_threshold": CHAOS_ERASURE_THRESHOLD,
+            "erasure_threshold": SWEEP_ERASURE_THRESHOLD,
             "payload_length": payload_length,
         },
-        "noop_contract": _noop_contract(smoke, seed, payload_length),
+        "noop_contract": noop_contract(
+            FaultPlan.none(seed=seed), smoke, seed, payload_length
+        ),
         "sweeps": [
             _sweep(kind, severities, smoke, seed, payload_length)
             for kind in kinds
@@ -285,10 +210,5 @@ def run_chaos(
     report["passed"] = bool(all(checks))
 
     if output:
-        parent = os.path.dirname(output)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(output, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        write_report(output, report)
     return report

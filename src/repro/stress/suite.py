@@ -26,21 +26,23 @@
 
 from __future__ import annotations
 
-import json
 import math
-import os
 
 import numpy as np
 
-from repro.core.config import SystemConfig
-from repro.core.system import LScatterSystem
+from repro.gates import (
+    SWEEP_ERASURE_THRESHOLD,
+    json_float,
+    noop_contract,
+    run_point,
+    sweep,
+    sweep_config,
+    write_report,
+)
 from repro.link.arq import BitErrorChannel, ErasureChannel, SelectiveRepeatArq
 from repro.mac.schemes import PriorityScheme
 from repro.stress.scenarios import SCENARIOS, SYNC_COUPLED, make_scenario_plan
 from repro.utils.rng import make_rng
-
-#: Preamble mis-slice fraction above which a packet's windows are erased.
-STRESS_ERASURE_THRESHOLD = 0.35
 
 #: Per-window SNR-gate (dB): data windows whose post-detection SNR proxy
 #: falls below this escalate to erasures (see :mod:`repro.bsrx`).
@@ -50,101 +52,29 @@ STRESS_SNR_GATE_DB = 0.0
 RESYNC_BUDGET = 3
 
 
-def _config(smoke, plan=None, erasures=True, **overrides):
-    kwargs = dict(
-        bandwidth_mhz=1.4,
-        n_frames=2 if smoke else 4,
-        reference_mode="genie",
-        sync_mode="model",
-        faults=plan,
-        erasure_threshold=STRESS_ERASURE_THRESHOLD if erasures else None,
-        window_snr_gate_db=STRESS_SNR_GATE_DB if erasures else None,
-    )
-    kwargs.update(overrides)
-    return SystemConfig(**kwargs)
-
-
 def _params(smoke):
     """The LteParams the scenario stressors are built against."""
-    return _config(smoke).params
-
-
-def _json_float(value):
-    value = float(value)
-    return None if math.isnan(value) else value
-
-
-def _run_point(config, seed, payload_length, artifacts=False):
-    system = LScatterSystem(config, rng=seed)
-    return system.run(payload_length=payload_length, artifacts=artifacts)
-
-
-def _point_record(intensity, report):
-    return {
-        "intensity": float(intensity),
-        "n_bits": int(report.n_bits),
-        "n_errors": int(report.n_errors),
-        "ber": _json_float(report.ber),
-        "goodput_bps": _json_float(report.throughput_bps),
-        "n_windows": int(report.n_windows),
-        "n_lost_windows": int(report.n_lost_windows),
-        "n_erased_windows": int(report.n_erased_windows),
-        "sync_failed": bool(report.sync_failed),
-    }
+    return sweep_config(smoke).params
 
 
 def _noop_contract(scenario, smoke, seed, payload_length):
     """Zero-intensity scenario plan vs no plan: bit-identical, or bust."""
-    clean = _run_point(
-        _config(smoke, plan=None, erasures=False),
-        seed, payload_length, artifacts=True,
-    )
     plan = make_scenario_plan(scenario, 0.0, _params(smoke), seed=seed)
-    zeroed = _run_point(
-        _config(smoke, plan=plan, erasures=False),
-        seed, payload_length, artifacts=True,
-    )
-    a = clean.extras["artifacts"]
-    b = zeroed.extras["artifacts"]
-    iq_identical = bool(
-        np.array_equal(a.shifted_rx, b.shifted_rx)
-        and np.array_equal(a.direct_rx, b.direct_rx)
-    )
-    metrics_identical = (
-        clean.n_bits == zeroed.n_bits
-        and clean.n_errors == zeroed.n_errors
-        and clean.n_windows == zeroed.n_windows
-        and clean.n_lost_windows == zeroed.n_lost_windows
-    )
-    return {
-        "scenario": scenario,
-        "iq_identical": iq_identical,
-        "metrics_identical": bool(metrics_identical),
-        "passed": bool(iq_identical and metrics_identical),
-    }
+    return {"scenario": scenario, **noop_contract(plan, smoke, seed, payload_length)}
 
 
 def _sweep(scenario, intensities, smoke, seed, payload_length):
-    points = []
     params = _params(smoke)
-    for intensity in intensities:
-        plan = (
-            make_scenario_plan(scenario, intensity, params, seed=seed)
-            if intensity > 0
-            else None
-        )
-        report = _run_point(_config(smoke, plan=plan), seed, payload_length)
-        points.append(_point_record(intensity, report))
-    goodputs = [p["goodput_bps"] or 0.0 for p in points]
-    monotone = all(
-        later <= earlier + 1e-9 for earlier, later in zip(goodputs, goodputs[1:])
+    curve = sweep(
+        "intensity",
+        intensities,
+        lambda intensity: make_scenario_plan(scenario, intensity, params, seed=seed),
+        smoke,
+        seed,
+        payload_length,
+        snr_gate_db=STRESS_SNR_GATE_DB,
     )
-    return {
-        "scenario": scenario,
-        "points": points,
-        "monotone_goodput": bool(monotone),
-        "monotone_required": True,
-    }
+    return {"scenario": scenario, **curve, "monotone_required": True}
 
 
 def _sync_probe(scenario, max_intensity, smoke, seed, payload_length):
@@ -161,18 +91,22 @@ def _sync_probe(scenario, max_intensity, smoke, seed, payload_length):
     plan = make_scenario_plan(scenario, max_intensity, params, seed=seed)
     records = {}
     for label, budget in (("single-pass", 0), ("adaptive", RESYNC_BUDGET)):
-        config = _config(
-            smoke, plan=plan, sync_mode="circuit", sync_resync_attempts=budget
+        config = sweep_config(
+            smoke,
+            plan=plan,
+            snr_gate_db=STRESS_SNR_GATE_DB,
+            sync_mode="circuit",
+            sync_resync_attempts=budget,
         )
-        report = _run_point(config, seed, payload_length, artifacts=True)
+        report = run_point(config, seed, payload_length, artifacts=True)
         sync = report.extras["artifacts"].sync_result
         records[label] = {
             "sync_failed": bool(report.sync_failed),
             "resync_attempts": int(getattr(sync, "resync_attempts", 0)),
-            "threshold_margin": _json_float(
+            "threshold_margin": json_float(
                 getattr(sync, "threshold_margin", 0.0)
             ),
-            "goodput_bps": _json_float(report.throughput_bps),
+            "goodput_bps": json_float(report.throughput_bps),
         }
     bounded = records["adaptive"]["resync_attempts"] <= RESYNC_BUDGET
     recovered = (
@@ -261,7 +195,7 @@ def _arq_jamming_probe(intensities, seed, payload_bits=4096):
             "intensity": float(intensity),
             "frames_sent": int(report.frames_sent),
             "erased_frames": int(channel.erased_frames),
-            "retransmission_overhead": _json_float(overhead),
+            "retransmission_overhead": json_float(overhead),
             "bit_exact": exact,
         })
     return {
@@ -297,7 +231,7 @@ def run_stress(
             "seed": int(seed),
             "max_intensity": float(max_intensity),
             "scenarios": scenarios,
-            "erasure_threshold": STRESS_ERASURE_THRESHOLD,
+            "erasure_threshold": SWEEP_ERASURE_THRESHOLD,
             "snr_gate_db": STRESS_SNR_GATE_DB,
             "payload_length": payload_length,
         },
@@ -329,10 +263,5 @@ def run_stress(
     report["passed"] = bool(all(checks))
 
     if output:
-        parent = os.path.dirname(output)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(output, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        write_report(output, report)
     return report

@@ -119,6 +119,19 @@ def block_deinterleave(bits, depth, original_length):
     return matrix.T.reshape(-1)[: int(original_length)]
 
 
+def binomial_tail(n, k_min, p):
+    """``P[X >= k_min]`` for ``X ~ Binomial(n, p)``, summed term by term.
+
+    Every term is non-negative, so the tail stays accurate as ``p -> 0``,
+    where ``1 - P[X < k_min]`` cancels to rounding noise (even below 0).
+    """
+    p = np.asarray(p, dtype=float)
+    out = np.zeros_like(p)
+    for k in range(int(k_min), int(n) + 1):
+        out = out + comb(n, k) * p**k * (1 - p) ** (n - k)
+    return out[()]
+
+
 def hamming74_coded_ber(channel_ber):
     """Post-decoding BER of Hamming(7,4) on a BSC with ``channel_ber``.
 
@@ -126,17 +139,10 @@ def hamming74_coded_ber(channel_ber):
     4 data bits carry on average ~2 errors, i.e. data BER ~ half the
     block error rate.
     """
-    p = np.asarray(channel_ber, dtype=float)
-    block_ok = (1 - p) ** 7 + 7 * p * (1 - p) ** 6
-    return (0.5 * (1.0 - block_ok))[()]
+    return 0.5 * binomial_tail(7, 2, channel_ber)
 
 
 def repetition_coded_ber(channel_ber, factor=3):
     """Post-majority BER of a repetition code on a BSC."""
-    p = np.asarray(channel_ber, dtype=float)
     factor = int(factor)
-    majority = factor // 2 + 1
-    out = np.zeros_like(p)
-    for k in range(majority, factor + 1):
-        out = out + comb(factor, k) * p**k * (1 - p) ** (factor - k)
-    return out[()]
+    return binomial_tail(factor, factor // 2 + 1, channel_ber)

@@ -7,7 +7,7 @@ end-to-end "critical information" guarantee.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.channel.link import LinkBudget
 from repro.core.link_budget import LScatterLinkModel
@@ -108,8 +108,15 @@ def test_capture_length_always_integral_frames(n_frames):
 
 @settings(max_examples=10, deadline=None)
 @given(
-    ber=st.floats(min_value=0.0, max_value=0.2),
+    ber=st.one_of(
+        st.floats(min_value=0.0, max_value=0.2),
+        # Log-uniform, down to where 1 - P[block ok] cancels completely.
+        st.floats(min_value=-300.0, max_value=np.log10(0.2)).map(
+            lambda exponent: 10.0**exponent
+        ),
+    ),
 )
+@example(ber=1e-9)
 def test_coded_ber_never_worse_than_half(ber):
     from repro.tag.coding import hamming74_coded_ber, repetition_coded_ber
 
