@@ -417,9 +417,7 @@ def _bench_streaming(smoke):
         tracemalloc.stop()
 
         tracemalloc.start()
-        streamer = StreamingDemodulator(
-            config.params, chunk_half_frames=chunk_half_frames
-        )
+        streamer = StreamingDemodulator(config.params)
         step = chunk_half_frames * half
         for lo in range(0, n, step):
             hi = min(lo + step, n)

@@ -40,15 +40,15 @@ of those transforms depends on its own inputs alone, so results never
 depend on how many rows share a stack.  Three entry points drive it:
 
 * :meth:`BackscatterDemodulator.demodulate` — one tag, whole capture (a
-  one-row stack);
+  one-row stack; a memory-mapped capture is read a half-frame at a time);
 * :meth:`BackscatterDemodulator.demodulate_many` — every tag riding one
   shared ambient capture at once, one row per tag (bit-identical to
   per-tag :meth:`~BackscatterDemodulator.demodulate`);
-* :class:`repro.bsrx.streaming.StreamingDemodulator` — chunked
-  consumption of arbitrarily long captures in bounded memory.
+* :class:`repro.bsrx.streaming.StreamingDemodulator` — incremental
+  consumption of a capture pushed in chunks as it arrives.
 
-A capture whose tail is shorter than a full half-frame (every streaming
-chunk boundary, and any externally truncated recording) is handled
+A capture whose tail is shorter than a full half-frame (the tail a
+streaming receiver flushes, and any externally truncated recording) is handled
 explicitly: packets whose sounding/preamble/data symbols run past the end
 emit erasure windows (placeholder bits the accounting layer excludes)
 instead of being silently dropped mid-grid.

@@ -1,22 +1,15 @@
-"""Chunked streaming backscatter demodulation in bounded memory.
+"""Incremental backscatter demodulation of a capture that arrives in pieces.
 
-The whole-capture path (:meth:`BackscatterDemodulator.demodulate`) holds
-the full shifted capture and reference in memory at once; for a
-long-running receiver (hours of ambient LTE) that is linear in capture
-length.  :class:`StreamingDemodulator` consumes the same capture in
-half-frame-aligned chunks and carries its receiver state across chunk
-boundaries, so memory stays O(chunk) however long the recording runs.
-
-Two ways to feed it:
-
-* :meth:`StreamingDemodulator.demodulate` — drop-in signature of the
-  whole-capture call; the inputs may be memory-mapped arrays and only one
-  chunk is materialised at a time.
-* :meth:`StreamingDemodulator.push` + :meth:`StreamingDemodulator.finish`
-  — incremental: hand over samples as they arrive (any ragged chunk
-  lengths, including boundaries landing mid-packet); buffered samples are
-  demodulated as soon as a full half-frame is available and the buffer is
-  trimmed behind the grid.
+:meth:`BackscatterDemodulator.demodulate` already walks a capture one
+PSS-delimited half-frame at a time, so on a memory-mapped ``complex128``
+capture its working set is one half-frame whatever the capture length.  It still
+needs the whole capture to exist up front.  :class:`StreamingDemodulator`
+is the receiver for samples that arrive as they are captured:
+:meth:`~StreamingDemodulator.push` hands over the next samples (any
+ragged chunk lengths, including boundaries landing mid-packet), buffered
+samples are demodulated as soon as a full half-frame is available and
+the buffer is trimmed behind the grid; :meth:`~StreamingDemodulator.finish`
+flushes the tail and returns the result.
 
 State carried across chunks (:class:`StreamCarry`): the position of the
 next half-frame boundary on the PSS-derived grid (which is the receiver's
@@ -30,10 +23,10 @@ Every half-frame goes through the public per-half-frame core,
 :meth:`BackscatterDemodulator.demodulate_half_frame`, as a one-row stack
 of the chunk-local buffer — the same core the whole-capture call runs.
 Every emitted window is therefore bit-identical to the whole-capture call
-on the same samples: the chunk-local views hold the same samples as the
-capture slices, a half-frame only runs past the end of a chunk where it
-runs past the end of the capture, and all indices are shifted back to
-absolute capture coordinates through the sink's ``base``.
+on the same samples: the chunk-local buffer holds the same samples as the
+capture, a half-frame is only demodulated short where it runs past the
+end of the capture, and all indices are shifted back to absolute capture
+coordinates through the sink's ``base``.
 """
 
 from __future__ import annotations
@@ -44,12 +37,6 @@ import numpy as np
 
 from repro.bsrx.demodulator import BackscatterDemodulator, DemodSink
 from repro.obs import metrics as obs_metrics
-from repro.obs.trace import span
-
-#: Default chunk size, in half-frames.  Four half-frames (20 ms) keep the
-#: working set of a 20 MHz capture under ~20 MB while amortising the
-#: per-chunk Python overhead.
-DEFAULT_CHUNK_HALF_FRAMES = 4
 
 
 @dataclass
@@ -71,22 +58,16 @@ class StreamCarry:
 
 
 class StreamingDemodulator:
-    """Demodulate a capture chunk-by-chunk in bounded memory."""
+    """Demodulate a capture pushed chunk by chunk, in bounded memory."""
 
     def __init__(
         self,
         params,
-        chunk_half_frames=DEFAULT_CHUNK_HALF_FRAMES,
         search_slack=None,
         erasure_threshold=None,
         snr_gate_db=None,
         first_half_frame_start=0,
     ):
-        self.chunk_half_frames = int(chunk_half_frames)
-        if self.chunk_half_frames < 1:
-            raise ValueError(
-                f"chunk_half_frames must be >= 1, got {chunk_half_frames}"
-            )
         self.demodulator = BackscatterDemodulator(
             params,
             search_slack=search_slack,
@@ -110,8 +91,6 @@ class StreamingDemodulator:
         #: demodulated (the grid starts there).
         self._buffer_base = 0
         self._finished = False
-
-    # -- incremental API ---------------------------------------------------------
 
     @property
     def buffered_samples(self):
@@ -193,57 +172,3 @@ class StreamingDemodulator:
             "bsrx.stream_half_frames", self.carry.half_frames_done
         )
         return self._sink.result()
-
-    # -- whole-capture convenience ------------------------------------------------
-
-    def demodulate(self, shifted_samples, ambient_reference, half_frame_starts):
-        """Whole-capture signature, chunked execution.
-
-        ``shifted_samples``/``ambient_reference`` may be memory-mapped;
-        only ``chunk_half_frames`` half-frames (plus the ragged tail) are
-        materialised at a time.  Bit-identical to
-        :meth:`BackscatterDemodulator.demodulate` on the same inputs.
-        """
-        if self._finished:
-            raise RuntimeError("stream already finished")
-        n = len(shifted_samples)
-        if len(ambient_reference) != n:
-            raise ValueError("capture and reference must be sample-aligned")
-        starts = [int(s) for s in half_frame_starts]
-        demod = self.demodulator
-        span_needed = demod.half_frame_span
-        sink = self._sink = DemodSink()
-        chunk = self.chunk_half_frames
-        with span("bsrx.stream") as sp:
-            for i in range(0, len(starts), chunk):
-                group = starts[i : i + chunk]
-                valid = [s for s in group if s >= 0]
-                if not valid:
-                    continue
-                base = min(valid)
-                end = min(max(s + span_needed for s in valid), n)
-                if end <= base:
-                    continue
-                shifted_chunk = np.asarray(
-                    shifted_samples[base:end], dtype=complex
-                )
-                reference_chunk = np.asarray(
-                    ambient_reference[base:end], dtype=complex
-                )
-                sink.base = base
-                for s in group:
-                    if s < 0:
-                        continue
-                    self._demodulate(shifted_chunk, reference_chunk, s - base)
-                    self.carry.next_half_frame_start = s + self.half_frame_samples
-                    if s + span_needed <= n:
-                        self.carry.half_frames_done += 1
-            sp.set(
-                n_chunks=(len(starts) + chunk - 1) // chunk,
-                chunk_half_frames=chunk,
-            )
-        self._finished = True
-        obs_metrics.counter_inc(
-            "bsrx.stream_half_frames", self.carry.half_frames_done
-        )
-        return sink.result()

@@ -39,7 +39,6 @@ from repro.core.config import SystemConfig
 from repro.fleet.ambient import AmbientCache
 from repro.fleet.engine import ParallelRunEngine, TaskFailure
 from repro.fleet.report import FleetReport, TagResult, capture_seconds
-from repro.bsrx.streaming import DEFAULT_CHUNK_HALF_FRAMES
 from repro.fleet.runner import TagTask, _simulate_tag, _simulate_tags_batched
 from repro.fleet.scheduler import FleetScheduler, make_scheme
 from repro.obs import metrics as obs_metrics
@@ -377,8 +376,6 @@ class NetworkRunner:
         max_retries=1,
         on_error="raise",
         batch_tags=False,
-        streaming=False,
-        chunk_half_frames=None,
     ):
         if attach_mode not in ("analytic", "search"):
             raise ValueError(
@@ -400,18 +397,6 @@ class NetworkRunner:
         #: Run each cell's cohort through one batched cross-tag demod
         #: pass in the parent (bit-identical to the engine path).
         self.batch_tags = bool(batch_tags)
-        #: Run each tag's demodulation through the chunked streaming
-        #: receiver (bit-identical, bounded demod working set).
-        self.streaming = bool(streaming)
-        self.chunk_half_frames = (
-            int(chunk_half_frames)
-            if chunk_half_frames is not None
-            else DEFAULT_CHUNK_HALF_FRAMES
-        )
-        if self.chunk_half_frames < 1:
-            raise ValueError(
-                f"chunk_half_frames must be >= 1, got {chunk_half_frames!r}"
-            )
 
     def close(self):
         if self._owns_cache:
@@ -522,16 +507,11 @@ class NetworkRunner:
                     ambients,
                     max_interferers=self.max_interferers,
                 )
-                config = deployment.config_for(topology, site, tag)
-                if self.streaming:
-                    config = replace(
-                        config, demod_chunk_half_frames=self.chunk_half_frames
-                    )
                 tasks.append(
                     TagTask(
                         index=index,
                         name=tag.name,
-                        config=config,
+                        config=deployment.config_for(topology, site, tag),
                         seed=tag_seed(self.seed, tag.name),
                         owned=tuple(schedule.owned_half_frames(tag.name)),
                         collided=len(schedule.collided_half_frames(tag.name)),

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro.cli <command>``.
 
-Three commands:
+Commands:
 
 * ``simulate`` — run one end-to-end IQ simulation from flags;
 * ``experiment`` — regenerate a paper table/figure (same as
@@ -11,6 +11,8 @@ Three commands:
   inter-cell interference, handover (see DESIGN.md §15);
 * ``trace`` — run with stage tracing on and write a Chrome trace JSON;
 * ``chaos`` — fault-injection sweeps and degradation curves;
+* ``stress`` — adversarial-scenario sweeps (jammers, congested cells)
+  and gated degradation curves; writes ``STRESS_PR8.json``;
 * ``bench`` — time the DSP hot path and write a perf baseline JSON; with
   ``--check`` it gates the run against a committed baseline;
 * ``substrates`` — cross-substrate comparison suite over every
@@ -51,6 +53,18 @@ def _refuse_overwrite(args, *paths):
             raise _UsageError(
                 f"output file {path!r} already exists; pass --force to overwrite"
             )
+
+
+def _require_at_least(args, minimum, *flags):
+    """Usage error for the first ``--flag`` whose value is below ``minimum``.
+
+    ``flags`` are spelled as on the command line; an unset (``None``)
+    value passes.
+    """
+    for flag in flags:
+        value = getattr(args, flag.replace("-", "_"))
+        if value is not None and value < minimum:
+            raise _UsageError(f"--{flag} must be >= {minimum}, got {value}")
 
 
 def _output_path(args, smoke_path, full_path):
@@ -218,33 +232,18 @@ def _cmd_trace(args):
 
 
 def _validate_fleet(args):
-    if args.tags < 1:
-        raise _UsageError(f"--tags must be >= 1, got {args.tags}")
-    if args.workers < 1:
-        raise _UsageError(f"--workers must be >= 1, got {args.workers}")
-    if args.frames < 1:
-        raise _UsageError(f"--frames must be >= 1, got {args.frames}")
-    if args.chunk_half_frames is not None and args.chunk_half_frames < 1:
-        raise _UsageError(
-            f"--chunk-half-frames must be >= 1, got {args.chunk_half_frames}"
-        )
+    _require_at_least(args, 1, "tags", "workers", "frames")
     if args.batch_tags and args.trace:
         raise _UsageError(
             "--batch-tags shares one demod pass across tags, so per-tag "
             "traces cannot be attributed; drop one of the two flags"
         )
     _validate_substrate(args.substrate)
-    if args.substrate not in (None, "chip"):
-        if args.batch_tags:
-            raise _UsageError(
-                f"--batch-tags runs the chip demodulator's batched pass, "
-                f"which substrate {args.substrate!r} does not provide"
-            )
-        if args.streaming:
-            raise _UsageError(
-                f"--streaming runs the chunked chip receiver, which "
-                f"substrate {args.substrate!r} does not support"
-            )
+    if args.substrate not in (None, "chip") and args.batch_tags:
+        raise _UsageError(
+            f"--batch-tags runs the chip demodulator's batched pass, "
+            f"which substrate {args.substrate!r} does not provide"
+        )
 
 
 def _cmd_fleet(args):
@@ -265,8 +264,6 @@ def _cmd_fleet(args):
         seed=args.seed,
         trace=args.trace,
         batch_tags=args.batch_tags,
-        streaming=args.streaming,
-        chunk_half_frames=args.chunk_half_frames,
         substrate=args.substrate,
     ) as runner:
         report = runner.run(payload_length=args.payload)
@@ -294,23 +291,14 @@ def _cmd_fleet(args):
 
 
 def _validate_network(args):
-    if args.tags < 1:
-        raise _UsageError(f"--tags must be >= 1, got {args.tags}")
-    if args.workers < 1:
-        raise _UsageError(f"--workers must be >= 1, got {args.workers}")
-    if args.frames < 1:
-        raise _UsageError(f"--frames must be >= 1, got {args.frames}")
+    _require_at_least(args, 1, "tags", "workers", "frames")
     if args.isd <= 0:
         raise _UsageError(f"--isd must be positive, got {args.isd}")
-    if args.layout == "hex" and args.rings < 0:
-        raise _UsageError(f"--rings must be >= 0, got {args.rings}")
+    if args.layout == "hex":
+        _require_at_least(args, 0, "rings")
     if args.layout == "grid" and (args.rows < 1 or args.cols < 1):
         raise _UsageError(
             f"--rows/--cols must be >= 1, got {args.rows}x{args.cols}"
-        )
-    if args.chunk_half_frames is not None and args.chunk_half_frames < 1:
-        raise _UsageError(
-            f"--chunk-half-frames must be >= 1, got {args.chunk_half_frames}"
         )
 
 
@@ -346,8 +334,6 @@ def _cmd_network(args):
         attach_mode=args.attach,
         payload_length=args.payload,
         batch_tags=args.batch_tags,
-        streaming=args.streaming,
-        chunk_half_frames=args.chunk_half_frames,
     ) as runner:
         report = runner.run()
 
@@ -484,8 +470,7 @@ def _cmd_bench(args):
         run_bench,
     )
 
-    if args.tolerance < 0:
-        raise _UsageError(f"--tolerance must be >= 0, got {args.tolerance}")
+    _require_at_least(args, 0, "tolerance")
     if args.check and not os.path.exists(args.check):
         raise _UsageError(f"baseline file {args.check!r} does not exist")
     # Smoke runs default to a scratch path under artifacts/ so CI never
@@ -541,8 +526,7 @@ def _cmd_campaign(args):
         return 0
     if not args.id:
         raise _UsageError("an experiment id is required (or --list)")
-    if args.shards < 1:
-        raise _UsageError(f"--shards must be >= 1, got {args.shards}")
+    _require_at_least(args, 1, "shards")
     if args.shard_index is not None and not (
         0 <= args.shard_index < args.shards
     ):
@@ -550,8 +534,7 @@ def _cmd_campaign(args):
             f"--shard-index must be in [0, {args.shards}), "
             f"got {args.shard_index}"
         )
-    if args.workers < 1:
-        raise _UsageError(f"--workers must be >= 1, got {args.workers}")
+    _require_at_least(args, 1, "workers")
 
     spec = CampaignSpec(experiment=args.id, seed=args.seed, smoke=args.smoke)
     run_dir = args.run_dir
@@ -607,26 +590,17 @@ def _cmd_campaign(args):
 
 
 def _validate_serve(args):
-    if args.sessions is not None and args.sessions < 1:
-        raise _UsageError(f"--sessions must be >= 1, got {args.sessions}")
-    if args.cohort_tags < 1:
-        raise _UsageError(
-            f"--cohort-tags must be >= 1, got {args.cohort_tags}"
-        )
-    if args.workers < 1:
-        raise _UsageError(f"--workers must be >= 1, got {args.workers}")
-    if args.queue_depth < 1:
-        raise _UsageError(
-            f"--queue-depth must be >= 1, got {args.queue_depth}"
-        )
-    if args.snapshot_every < 1:
-        raise _UsageError(
-            f"--snapshot-every must be >= 1, got {args.snapshot_every}"
-        )
-    if args.frames < 1:
-        raise _UsageError(f"--frames must be >= 1, got {args.frames}")
-    if args.payload < 1:
-        raise _UsageError(f"--payload must be >= 1, got {args.payload}")
+    _require_at_least(
+        args,
+        1,
+        "sessions",
+        "cohort-tags",
+        "workers",
+        "queue-depth",
+        "snapshot-every",
+        "frames",
+        "payload",
+    )
     if args.resume and not args.soak:
         raise _UsageError("--resume only applies to --soak runs")
 
@@ -865,18 +839,6 @@ def build_parser():
         "(bit-identical to the per-tag path, runs in the parent)",
     )
     fleet.add_argument(
-        "--streaming",
-        action="store_true",
-        help="demodulate each capture in half-frame-aligned chunks "
-        "(bit-identical, bounded demod working set)",
-    )
-    fleet.add_argument(
-        "--chunk-half-frames",
-        type=int,
-        default=None,
-        help="streaming chunk size in half-frames (default 4)",
-    )
-    fleet.add_argument(
         "--substrate",
         default=None,
         help="ambient-substrate mode for the whole fleet (default: the "
@@ -946,18 +908,6 @@ def build_parser():
         action="store_true",
         help="one batched cross-tag demod pass per cell cohort "
         "(bit-identical to the per-cohort engine path)",
-    )
-    network.add_argument(
-        "--streaming",
-        action="store_true",
-        help="demodulate each capture in half-frame-aligned chunks "
-        "(bit-identical, bounded demod working set)",
-    )
-    network.add_argument(
-        "--chunk-half-frames",
-        type=int,
-        default=None,
-        help="streaming chunk size in half-frames (default 4)",
     )
     network.set_defaults(func=_cmd_network)
 

@@ -62,12 +62,6 @@ class SystemConfig:
     #: (sync loss) instead of bits.  ``None`` disables (legacy behaviour);
     #: 0.35 is a robust default when fault injection is in play.
     erasure_threshold: float = None
-    #: Backscatter demodulation chunking: ``None`` demodulates the whole
-    #: capture at once; an integer runs the chunked streaming receiver
-    #: (:class:`repro.bsrx.streaming.StreamingDemodulator`) with that many
-    #: half-frames per chunk — bit-identical output, O(chunk) demod
-    #: working set.
-    demod_chunk_half_frames: int = None
     #: Per-window SNR-gated erasure escalation (dB): data windows whose
     #: post-detection SNR proxy falls below this are emitted as erasures
     #: even when the packet's preamble passed — graceful degradation under
@@ -97,13 +91,6 @@ class SystemConfig:
                 f"erasure_threshold must be in [0, 1] or None, "
                 f"got {self.erasure_threshold!r}"
             )
-        if self.demod_chunk_half_frames is not None:
-            if int(self.demod_chunk_half_frames) < 1:
-                raise ValueError(
-                    f"demod_chunk_half_frames must be >= 1 or None, "
-                    f"got {self.demod_chunk_half_frames!r}"
-                )
-            self.demod_chunk_half_frames = int(self.demod_chunk_half_frames)
         if self.window_snr_gate_db is not None:
             self.window_snr_gate_db = float(self.window_snr_gate_db)
         if int(self.sync_resync_attempts) < 0:

@@ -48,9 +48,15 @@ def data_symbols_per_frame():
 
 
 def rayleigh_bpsk_ber(mean_snr_linear):
-    """BPSK BER with exponentially-distributed chip energy."""
+    """BPSK BER with exponentially-distributed chip energy.
+
+    ``0.5 * (1 - sqrt(g / (1 + g)))`` cancels catastrophically at high
+    SNR (it returns 0 at g = 1e16); multiplying through by
+    ``1 + sqrt(g / (1 + g))`` gives the same value without the
+    subtraction.
+    """
     g = np.maximum(np.asarray(mean_snr_linear, dtype=float), 0.0)
-    return (0.5 * (1.0 - np.sqrt(g / (1.0 + g))))[()]
+    return (0.5 / ((1.0 + g) * (1.0 + np.sqrt(g / (1.0 + g)))))[()]
 
 
 @dataclass(frozen=True)

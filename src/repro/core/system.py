@@ -141,14 +141,6 @@ class LScatterSystem:
                 f"substrate {self.substrate.name!r} has no PSS envelope for the "
                 f"sync circuit; use sync_mode='model' or pin sync_error_samples"
             )
-        if (
-            getattr(self.config, "demod_chunk_half_frames", None)
-            and not self.substrate.supports_streaming
-        ):
-            raise ValueError(
-                f"substrate {self.substrate.name!r} has no streaming receiver; "
-                f"leave demod_chunk_half_frames unset"
-            )
 
     # -- helpers ---------------------------------------------------------------
 
@@ -504,12 +496,7 @@ class LScatterSystem:
         )
 
     def _demodulate(self, front):
-        """Stage 6: substrate demodulation, whole-capture or streamed.
-
-        The chip substrate honours ``config.demod_chunk_half_frames``
-        (chunked streaming receiver, bit-identical output, bounded
-        working set); the other modes demodulate whole captures.
-        """
+        """Stage 6: substrate demodulation of the whole capture."""
         with span("bsrx.demodulate") as sp:
             demod = self.substrate.demodulate(front)
             sp.set(

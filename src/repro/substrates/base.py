@@ -193,8 +193,6 @@ class Substrate:
     supports_decoded_reference = True
     #: Whether the analog PSS envelope sync circuit applies.
     supports_circuit_sync = True
-    #: Whether the chunked streaming receiver applies.
-    supports_streaming = False
     #: Whether the batched cross-tag demod applies.
     supports_batch = False
 

@@ -1,12 +1,14 @@
 """Streaming demodulator: bit-identity to the whole-capture call.
 
 Every test builds a real tag-on-ambient capture (transmitter -> tag
-schedule -> reflection -> noise) and asserts the chunked receiver's
+schedule -> reflection -> noise) and asserts the incremental receiver's
 output — bits, soft values, absolute window starts, erasure flags, and
 per-packet records — equals the single whole-capture
 :meth:`BackscatterDemodulator.demodulate` call exactly, never just
 approximately.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,15 +60,44 @@ def _assert_same(a, b):
         assert list(pa.data_starts) == list(pb.data_starts)
 
 
+def _push_half_frames(params, hybrid, ref, chunk):
+    """push()/finish() in half-frame-aligned chunks of ``chunk`` half-frames."""
+    streamer = StreamingDemodulator(params)
+    step = chunk * (params.samples_per_frame // 2)
+    for lo in range(0, len(hybrid), step):
+        streamer.push(hybrid[lo : lo + step], ref[lo : lo + step])
+    return streamer.finish()
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 3, 5])
 def test_chunked_demodulate_matches_whole_capture(chunk):
     params, hybrid, ref = _capture()
     halves = _halves(params, len(hybrid))
     whole = BackscatterDemodulator(params).demodulate(hybrid, ref, halves)
-    streamed = StreamingDemodulator(params, chunk_half_frames=chunk).demodulate(
-        hybrid, ref, halves
-    )
-    _assert_same(whole, streamed)
+    _assert_same(whole, _push_half_frames(params, hybrid, ref, chunk))
+
+
+def test_memmapped_demodulate_reads_one_half_frame_at_a_time(tmp_path):
+    """The whole-capture call on a memory-mapped capture needs no chunking
+    option: it is bit-identical to push()/finish(), and its peak
+    allocation stays below one in-memory copy of the capture."""
+    params, hybrid, ref = _capture(seed=3, n_frames=12)
+    mapped = []
+    for name, values in (("shifted", hybrid), ("reference", ref)):
+        path = tmp_path / f"{name}.iq"
+        np.ascontiguousarray(values, dtype=complex).tofile(path)
+        mapped.append(np.memmap(path, dtype=complex, mode="r"))
+    halves = _halves(params, len(hybrid))
+    demod = BackscatterDemodulator(params)
+
+    tracemalloc.start()
+    try:
+        whole = demod.demodulate(mapped[0], mapped[1], halves)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < hybrid.nbytes
+    _assert_same(whole, _push_half_frames(params, hybrid, ref, 1))
 
 
 def test_ragged_push_matches_whole_capture():
@@ -76,7 +107,7 @@ def test_ragged_push_matches_whole_capture():
     halves = _halves(params, len(hybrid))
     whole = BackscatterDemodulator(params).demodulate(hybrid, ref, halves)
 
-    streamer = StreamingDemodulator(params, chunk_half_frames=1)
+    streamer = StreamingDemodulator(params)
     rng = make_rng(99)
     pos = 0
     max_step = 2 * half
@@ -126,12 +157,11 @@ def test_streaming_matches_whole_capture_on_truncated_tail():
         hybrid[:cut], ref[:cut], halves
     )
 
-    streamed = StreamingDemodulator(params, chunk_half_frames=2).demodulate(
-        hybrid[:cut], ref[:cut], halves
-    )
-    _assert_same(whole, streamed)
+    for chunk in (1, 2, 3, 5):
+        streamed = _push_half_frames(params, hybrid[:cut], ref[:cut], chunk)
+        _assert_same(whole, streamed)
 
-    pushed = StreamingDemodulator(params, chunk_half_frames=2)
+    pushed = StreamingDemodulator(params)
     mid = 3 * half + 17
     pushed.push(hybrid[:mid], ref[:mid])
     pushed.push(hybrid[mid:cut], ref[mid:cut])
@@ -141,7 +171,7 @@ def test_streaming_matches_whole_capture_on_truncated_tail():
 def test_carry_tracks_grid_and_gain():
     params, hybrid, ref = _capture(seed=1)
     half = params.samples_per_frame // 2
-    streamer = StreamingDemodulator(params, chunk_half_frames=1)
+    streamer = StreamingDemodulator(params)
     streamer.push(hybrid, ref)
     assert streamer.carry.half_frames_done == len(hybrid) // half
     assert (
@@ -159,8 +189,6 @@ def test_carry_tracks_grid_and_gain():
 
 def test_stream_misuse_rejected():
     params, hybrid, ref = _capture(seed=0, n_frames=1)
-    with pytest.raises(ValueError):
-        StreamingDemodulator(params, chunk_half_frames=0)
     streamer = StreamingDemodulator(params)
     with pytest.raises(ValueError):
         streamer.push(hybrid[:10], ref[:9])

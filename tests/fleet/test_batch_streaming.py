@@ -1,11 +1,10 @@
-"""Fleet- and network-level batched/streaming demod: bit-identity switches.
+"""Fleet- and network-level batched demod: a bit-identity switch.
 
-``batch_tags=`` and ``streaming=`` are pure execution-strategy knobs:
-flipping either (or both) must not change a single result bit relative
-to the per-tag engine path at any worker count.  These tests pin that
-contract at the :class:`FleetRunner` and :class:`NetworkRunner` level,
-on top of the demodulator-level equality tests in
-``tests/bsrx/test_batch_demod.py`` and ``tests/bsrx/test_streaming.py``.
+``batch_tags=`` is a pure execution-strategy knob: flipping it must not
+change a single result bit relative to the per-tag engine path at any
+worker count.  These tests pin that contract at the :class:`FleetRunner`
+and :class:`NetworkRunner` level, on top of the demodulator-level
+equality tests in ``tests/bsrx/test_batch_demod.py``.
 """
 
 import pytest
@@ -48,17 +47,6 @@ def test_batched_fleet_matches_engine_paths():
     assert report2.workers == 1
 
 
-def test_streaming_fleet_matches_whole_capture():
-    plain, _ = _fleet_keys(workers=1)
-    for chunk in (1, 3):
-        streamed, _ = _fleet_keys(
-            workers=1, streaming=True, chunk_half_frames=chunk
-        )
-        assert streamed == plain
-    both, _ = _fleet_keys(workers=1, batch_tags=True, streaming=True)
-    assert both == plain
-
-
 def test_batch_tags_rejects_incompatible_modes():
     with pytest.raises(ValueError):
         FleetRunner(_deployment(), batch_tags=True, trace=True)
@@ -68,8 +56,6 @@ def test_batch_tags_rejects_incompatible_modes():
         FleetRunner(
             _deployment(), batch_tags=True, infra_faults=InfraFaults()
         )
-    with pytest.raises(ValueError):
-        FleetRunner(_deployment(), streaming=True, chunk_half_frames=0)
 
 
 def _network_keys(**kwargs):
@@ -85,17 +71,9 @@ def _network_keys(**kwargs):
     return keys
 
 
-def test_network_batched_and_streaming_match_engine_paths():
+def test_network_batched_matches_engine_paths():
     serial = _network_keys(workers=1)
     parallel = _network_keys(workers=2)
     batched = _network_keys(workers=1, batch_tags=True)
-    streamed = _network_keys(workers=1, streaming=True, chunk_half_frames=1)
-    both = _network_keys(workers=2, batch_tags=True, streaming=True)
-    assert serial == parallel == batched == streamed == both
-
-
-def test_network_chunk_validation():
-    topology = Topology.grid(1, 1, spacing_ft=300.0, n_frames=1)
-    deployment = NetworkDeployment.scatter(1, topology, seed=0)
-    with pytest.raises(ValueError):
-        NetworkRunner(topology, deployment, streaming=True, chunk_half_frames=0)
+    batched_parallel = _network_keys(workers=2, batch_tags=True)
+    assert serial == parallel == batched == batched_parallel

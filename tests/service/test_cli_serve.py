@@ -9,18 +9,23 @@ from repro.cli import main
 
 def test_serve_validation_errors(capsys):
     cases = [
-        ["serve", "--workers", "0"],
-        ["serve", "--queue-depth", "0"],
-        ["serve", "--soak", "--sessions", "0"],
-        ["serve", "--cohort-tags", "0"],
-        ["serve", "--snapshot-every", "0"],
-        ["serve", "--frames", "0"],
-        ["serve", "--payload", "0"],
-        ["serve", "--resume"],  # --resume only applies to --soak
+        (["serve", "--workers", "0"], "--workers must be >= 1, got 0"),
+        (["serve", "--queue-depth", "0"], "--queue-depth must be >= 1, got 0"),
+        (["serve", "--soak", "--sessions", "0"], "--sessions must be >= 1, got 0"),
+        (["serve", "--cohort-tags", "0"], "--cohort-tags must be >= 1, got 0"),
+        (
+            ["serve", "--snapshot-every", "0"],
+            "--snapshot-every must be >= 1, got 0",
+        ),
+        (["serve", "--frames", "0"], "--frames must be >= 1, got 0"),
+        (["serve", "--payload", "0"], "--payload must be >= 1, got 0"),
+        (["serve", "--resume"], "--resume only applies to --soak runs"),
     ]
-    for argv in cases:
+    for argv, message in cases:
         assert main(argv) == 2, argv
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert message in err, (argv, err)
 
 
 def test_serve_soak_refuses_existing_output_without_force(tmp_path, capsys):

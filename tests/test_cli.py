@@ -99,26 +99,36 @@ def test_fleet_command(capsys):
     assert "aggregate" in out
 
 
-def test_bench_command_writes_json(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def smoke_bench(tmp_path_factory):
+    """One ``repro bench --smoke`` run at its default output path, shared
+    by the bench tests below (a smoke bench takes several seconds).
+
+    Returns ``(exit code, stdout, path of the written JSON)``.
+    """
+    import contextlib
+    import io
+    import os
+
+    workdir = tmp_path_factory.mktemp("bench")
+    stdout = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(stdout):
+            code = main(["bench", "--smoke", "--bandwidth", "1.4", "--repeats", "2"])
+    finally:
+        os.chdir(cwd)
+    return code, stdout.getvalue(), workdir / "artifacts" / "bench_smoke.json"
+
+
+def test_bench_command_writes_json(smoke_bench):
     import json
 
-    out_path = tmp_path / "bench.json"
-    code = main(
-        [
-            "bench",
-            "--smoke",
-            "--bandwidth",
-            "1.4",
-            "--repeats",
-            "2",
-            "--output",
-            str(out_path),
-        ]
-    )
-    out = capsys.readouterr().out
+    code, out, path = smoke_bench
     assert code == 0
     assert "modulate_frame" in out and "combined" in out
-    results = json.loads(out_path.read_text())
+    results = json.loads(path.read_text())
     assert results["mode"] == "smoke"
     assert results["ofdm"]["speedup"]["combined"] > 0
     assert "cache_stats" in results
@@ -317,25 +327,25 @@ def test_fleet_without_trace_ignores_stale_trace_output(tmp_path, capsys):
     assert out_path.read_text() == "{}"
 
 
-def test_bench_check_passes_against_itself(tmp_path, capsys):
-    out_path = tmp_path / "bench.json"
-    args = ["bench", "--smoke", "--bandwidth", "1.4", "--repeats", "2"]
-    assert main(args + ["--output", str(out_path)]) == 0
-    capsys.readouterr()
+def test_bench_check_passes_against_itself(smoke_bench, tmp_path, capsys):
+    code, _, baseline = smoke_bench
+    assert code == 0
     # Identical hardware, same process: a generous tolerance self-check
     # must pass (this is exactly what CI runs against the committed
     # baseline).
+    out_path = tmp_path / "bench2.json"
     code = main(
-        args
-        + [
-            "--output", str(tmp_path / "bench2.json"),
-            "--check", str(out_path),
+        [
+            "bench", "--smoke", "--bandwidth", "1.4", "--repeats", "2",
+            "--output", str(out_path),
+            "--check", str(baseline),
             "--tolerance", "10.0",
         ]
     )
     out = capsys.readouterr().out
     assert code == 0
     assert "bench gate: PASSED" in out
+    assert out_path.exists()
 
 
 def test_bench_check_validation(tmp_path, capsys):
@@ -347,14 +357,11 @@ def test_bench_check_validation(tmp_path, capsys):
     assert "--tolerance must be >= 0" in capsys.readouterr().err
 
 
-def test_bench_smoke_defaults_to_artifacts(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert main(
-        ["bench", "--smoke", "--bandwidth", "1.4", "--repeats", "2"]
-    ) == 0
-    out = capsys.readouterr().out
+def test_bench_smoke_defaults_to_artifacts(smoke_bench):
+    code, out, path = smoke_bench
+    assert code == 0
     assert "wrote artifacts/bench_smoke.json" in out
-    assert (tmp_path / "artifacts" / "bench_smoke.json").exists()
+    assert path.exists()
 
 
 def test_console_scripts_declared_and_importable():

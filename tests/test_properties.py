@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.channel.link import LinkBudget
-from repro.core.link_budget import LScatterLinkModel
+from repro.core.link_budget import LScatterLinkModel, rayleigh_bpsk_ber
 from repro.lte.modulation import BITS_PER_SYMBOL, demodulate_hard, modulate
 from repro.lte.ofdm import demodulate_symbol, modulate_symbol
 from repro.lte.params import LteParams
@@ -122,6 +122,28 @@ def test_coded_ber_never_worse_than_half(ber):
 
     assert 0.0 <= hamming74_coded_ber(ber) <= 0.5
     assert 0.0 <= repetition_coded_ber(ber) <= 0.5
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    snrs=st.lists(
+        st.one_of(
+            st.just(0.0),
+            # Log-uniform over the whole double range the model sees.
+            st.floats(min_value=-300.0, max_value=300.0).map(
+                lambda exponent: 10.0**exponent
+            ),
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+)
+@example(snrs=[1e16])
+def test_rayleigh_ber_in_range_and_non_increasing(snrs):
+    """No cancellation to 0 at high SNR, no upward step anywhere."""
+    ber = rayleigh_bpsk_ber(np.sort(np.array(snrs)))
+    assert np.all(ber > 0.0) and np.all(ber <= 0.5)
+    assert np.all(np.diff(ber) <= 0.0)
 
 
 # -- PR4: coding-chain roundtrip --------------------------------------------------
