@@ -1,18 +1,26 @@
 """LTE downlink channel coding (36.212 subset).
 
-CRC attachment, tail-biting convolutional coding with a vectorised Viterbi
-decoder, sub-block-interleaved rate matching, and scrambling.  This is the
-coding chain used by the reproduction's PDSCH so that "LTE throughput"
-(Fig. 32) means what it does in the paper: transport blocks that survive a
-real decoder and CRC check.
+CRC attachment (table-driven), tail-biting convolutional coding with a
+windowed vectorised Viterbi decoder, sub-block-interleaved rate matching,
+and scrambling.  This is the coding chain used by the reproduction's PDSCH
+so that "LTE throughput" (Fig. 32) means what it does in the paper:
+transport blocks that survive a real decoder and CRC check.  The
+bit-serial CRC and the full-trellis Viterbi stay as ``*_reference``
+oracles.
 """
 
-from repro.lte.coding.crc import crc_attach, crc_check, crc_compute
+from repro.lte.coding.crc import (
+    crc_attach,
+    crc_check,
+    crc_compute,
+    crc_compute_reference,
+)
 from repro.lte.coding.convolutional import (
     conv_encode,
     conv_encode_reference,
     viterbi_decode,
     viterbi_decode_many,
+    viterbi_decode_reference,
     CODE_RATE_INVERSE,
     CONSTRAINT_LENGTH,
 )
@@ -23,10 +31,12 @@ __all__ = [
     "crc_attach",
     "crc_check",
     "crc_compute",
+    "crc_compute_reference",
     "conv_encode",
     "conv_encode_reference",
     "viterbi_decode",
     "viterbi_decode_many",
+    "viterbi_decode_reference",
     "CODE_RATE_INVERSE",
     "CONSTRAINT_LENGTH",
     "rate_match",

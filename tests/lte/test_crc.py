@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.lte.coding import crc_attach, crc_check, crc_compute
+from repro.lte.coding import crc_attach, crc_check, crc_compute, crc_compute_reference
 from repro.utils.rng import make_rng
 
 KINDS = ("crc24a", "crc16", "crc8")
@@ -64,6 +64,25 @@ def test_all_zero_payload_zero_crc():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         crc_compute(np.zeros(8, dtype=np.int8), "crc32")
+
+
+def test_check_unknown_kind_rejected():
+    with pytest.raises(ValueError, match="unknown CRC kind 'crc32'"):
+        crc_check(np.zeros(40, dtype=np.int8), "crc32")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    n_bits=st.integers(0, 3000),
+    seed=st.integers(0, 2**16),
+)
+@example(kind="crc24a", n_bits=0, seed=0)
+@example(kind="crc8", n_bits=1, seed=0)
+@example(kind="crc16", n_bits=3000, seed=1)
+def test_table_crc_matches_bit_serial_reference(kind, n_bits, seed):
+    bits = make_rng(seed).integers(0, 2, size=n_bits).astype(np.int8)
+    assert np.array_equal(crc_compute(bits, kind), crc_compute_reference(bits, kind))
 
 
 def test_block_shorter_than_crc_rejected():
